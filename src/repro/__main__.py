@@ -309,11 +309,10 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="disable the result cache"
     )
     parser.add_argument(
-        "--equeue", default="auto", choices=_EQUEUE_CHOICES,
+        "--equeue", default="heap", choices=_EQUEUE_CHOICES,
         help=(
-            "event-queue backend for every grid point (default auto: "
-            "picked per config from its workload shape; results are "
-            "identical across backends)"
+            "event-queue backend for every grid point (default heap; "
+            "results are identical across backends)"
         ),
     )
     parser.add_argument(

@@ -207,11 +207,12 @@ class ExperimentConfig:
     def resolved_equeue(self) -> str:
         """The concrete backend name after applying the ``auto`` heuristic.
 
-        The heap wins at small event populations (its sifts are pure C);
-        the ladder wins once the future-event list carries a few hundred
-        entries.  Leaf-spine fabrics and large flow counts are the
-        populations where that crossover is behind us, so ``auto`` picks
-        the ladder there and stays on the heap for small star runs.
+        ``auto`` picks the ladder for leaf-spine fabrics and runs of
+        100 or more flows, and the heap otherwise.  The heuristic
+        predates measurement: on 2 CPUs the heap is faster on every
+        scenario measured, leaf-spine and large runs included
+        (``leafspine_slice`` 329k vs 312k ev/s, ``incast`` 361k vs
+        225k), which is why no entry point defaults to ``auto``.
         """
         if self.equeue != "auto":
             return self.equeue

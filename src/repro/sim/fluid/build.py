@@ -125,6 +125,11 @@ def build_fluid_network(
                         standing_queue_delay_ns(cfg, port.rate_bps),
                     )
                 )
+            if li in path:
+                # FluidNetwork's per-link sums count every occurrence
+                raise ValueError(
+                    f"flow {flow.id}: fluid path crosses {port.name} twice"
+                )
             path.append(li)
             path_delay += delay_ns
         fluid_flows.append(FluidFlow(flow, tuple(path), path_delay))

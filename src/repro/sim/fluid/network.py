@@ -31,7 +31,7 @@ Hybrid coupling (both directions, applied in :meth:`_epoch_apply`):
 from __future__ import annotations
 
 from math import sqrt
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.spans import wall_ns
 from repro.units import MSS, SEC
@@ -41,6 +41,7 @@ from repro.sim.fluid.solver import max_min_shares
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.metrics.fct import FctCollector
+    from repro.net.port import PortStats
     from repro.obs.spans import SpanRecorder
     from repro.sim.engine import EventHandle, Simulator
 
@@ -58,6 +59,7 @@ _MIN_RATE_FRAC = 0.01
 
 #: EWMA gain for the measured packet rate (DCTCP's own g)
 _PKT_EWMA_G = 0.5
+_PKT_EWMA_KEEP = 1.0 - _PKT_EWMA_G
 
 #: re-solve when a link's measured packet rate moves by more than this
 #: fraction of nominal capacity since the last solve
@@ -98,6 +100,7 @@ class FluidNetwork:
         "_finish_handle",
         "_last_settle_ns",
         "_pkt_at_solve",
+        "_tick_links",
         "_done",
     )
 
@@ -134,6 +137,13 @@ class FluidNetwork:
         self._last_settle_ns = 0
         #: per-link packet rate the current allocation was solved with
         self._pkt_at_solve: List[float] = [0.0] * len(self.links)
+        #: (index, link, port stats, re-solve threshold) per port-backed
+        #: link, built once so each measurement tick only reads and folds
+        self._tick_links: List[Tuple[int, FluidLink, "PortStats", float]] = [
+            (li, link, link.port.stats, _RESOLVE_FRAC * link.capacity_bps)
+            for li, link in enumerate(self.links)
+            if link.port is not None
+        ]
         self._done = not self.flows
 
     # -- event entry points (scheduled on the simulator) ---------------
@@ -194,21 +204,16 @@ class FluidNetwork:
         """Hybrid measurement tick: fold packet throughput back in."""
         if self._done:
             return
+        tick_ns = self.tick_ns
+        pkt_at_solve = self._pkt_at_solve
         moved = False
-        for li, link in enumerate(self.links):
-            port = link.port
-            if port is None:
-                continue
-            cur = port.stats.tx_bytes
-            inst = (cur - link.pkt_bytes_prev) * _BITS_NS / self.tick_ns
+        for li, link, stats, resolve_bps in self._tick_links:
+            cur = stats.tx_bytes
+            inst = (cur - link.pkt_bytes_prev) * _BITS_NS / tick_ns
             link.pkt_bytes_prev = cur
-            link.pkt_rate_bps = (
-                (1.0 - _PKT_EWMA_G) * link.pkt_rate_bps + _PKT_EWMA_G * inst
-            )
-            if (
-                abs(link.pkt_rate_bps - self._pkt_at_solve[li])
-                > _RESOLVE_FRAC * link.capacity_bps
-            ):
+            rate = _PKT_EWMA_KEEP * link.pkt_rate_bps + _PKT_EWMA_G * inst
+            link.pkt_rate_bps = rate
+            if not moved and abs(rate - pkt_at_solve[li]) > resolve_bps:
                 moved = True
         if moved:
             self._epoch_settle()
@@ -236,16 +241,22 @@ class FluidNetwork:
         links = self.links
         active = self._active
         caps: List[float] = []
-        for li, link in enumerate(links):
+        for link in links:
             residual = link.capacity_bps - link.pkt_rate_bps
             floor = _MIN_RATE_FRAC * link.capacity_bps
             caps.append(residual if residual > floor else floor)
-            self._pkt_at_solve[li] = link.pkt_rate_bps
+        self._pkt_at_solve = [link.pkt_rate_bps for link in links]
         paths = [self.flows[i].path for i in active]
         rates, bottlenecks, iters = max_min_shares(caps, paths)
         self.epochs += 1
         self.solver_iterations += iters
-        # per-flow rate + DCTCP-style alpha at the new share
+        # per-flow rate + DCTCP-style alpha at the new share, folded
+        # into per-link sums as it goes: each link receives its
+        # additions in increasing ``k`` order
+        n_links = len(links)
+        totals = [0.0] * n_links
+        alpha_sums = [0.0] * n_links
+        crossing = [0] * n_links
         for k, i in enumerate(active):
             fl = self.flows[i]
             new_rate = rates[k]
@@ -276,26 +287,23 @@ class FluidNetwork:
             w_pkts = new_rate * rtt_ns / (8e9 * MSS)
             if w_pkts < 1.0:
                 w_pkts = 1.0
-            fl.alpha = min(1.0, sqrt(2.0 / w_pkts))
+            alpha = min(1.0, sqrt(2.0 / w_pkts))
+            fl.alpha = alpha
+            for li in fl.path:
+                totals[li] += new_rate
+                alpha_sums[li] += alpha
+                crossing[li] += 1
         # per-link totals, saturation, standing queue, marking fraction
         for li, link in enumerate(links):
-            total = 0.0
-            alpha_sum = 0.0
-            n_crossing = 0
-            for k, i in enumerate(active):
-                fl = self.flows[i]
-                if li in fl.path:
-                    total += rates[k]
-                    alpha_sum += fl.alpha
-                    n_crossing += 1
-            link.fluid_rate_bps = total
+            link.fluid_rate_bps = totals[li]
             sat = li in bottlenecks
             if sat != link.saturated:
                 self.threshold_crossings += 1
                 link.saturated = sat
+            n_crossing = crossing[li]
             if sat and n_crossing:
                 link.q_delay_ns = link.q_delay_cap_ns
-                link.mark_frac = alpha_sum / n_crossing
+                link.mark_frac = alpha_sums[li] / n_crossing
             else:
                 link.q_delay_ns = 0
                 link.mark_frac = 0.0

@@ -9,13 +9,20 @@ instead of simulating 17k packets to discover it.
 
 The solver is deliberately pure: plain sequences in, plain lists out,
 no simulator state — so it is unit-testable against analytic shares and
-trivially deterministic (links are scanned in index order and ties pick
-the lowest index; all arithmetic is IEEE-754 double, identical on every
-platform).
+trivially deterministic (each round freezes the link with the smallest
+fair share, ties picking the lowest index; all arithmetic is IEEE-754
+double, identical on every platform).
+
+Rounds pick that link from a lazy min-heap of ``(share, link)`` entries
+rather than rescanning every link: a round re-pushes only the links its
+frozen flows cross, and a popped entry whose share no longer matches
+the link's current ``cap_left / count`` is stale and dropped.  A solve
+therefore costs O(path hops × log links) instead of O(rounds × links).
 """
 
 from __future__ import annotations
 
+import heapq  # simlint: disable=SIM011 -- ranks link fair shares inside one solve, not events by time; never touches the event queue
 from typing import List, Sequence, Set, Tuple
 
 
@@ -60,7 +67,11 @@ def max_min_shares(
         for li in path:
             counts[li] += 1
             link_flows[li].append(f)
+    heap = [(cap_left[li] / c, li) for li, c in enumerate(counts) if c]
+    heapq.heapify(heap)
     frozen = [False] * n_flows
+    #: round in which each link was last queued for a fresh heap entry
+    touched_in = [0] * n_links
     bottlenecks: Set[int] = set()
     unfrozen = n_flows
     iterations = 0
@@ -68,19 +79,19 @@ def max_min_shares(
         iterations += 1
         best = -1
         fair = 0.0
-        for li in range(n_links):
+        while heap:
+            share, li = heapq.heappop(heap)
             c = counts[li]
-            if not c:
-                continue
-            share = cap_left[li] / c
-            if best < 0 or share < fair:
+            if c and share == cap_left[li] / c:
                 best = li
                 fair = share
+                break
         if best < 0:  # pragma: no cover - unreachable while unfrozen > 0
             break
         if fair < 0.0:
             fair = 0.0
         bottlenecks.add(best)
+        touched: List[int] = []
         for f in link_flows[best]:
             if frozen[f]:
                 continue
@@ -90,4 +101,11 @@ def max_min_shares(
             for li in paths[f]:
                 cap_left[li] -= fair
                 counts[li] -= 1
+                if touched_in[li] != iterations:
+                    touched_in[li] = iterations
+                    touched.append(li)
+        for li in touched:
+            c = counts[li]
+            if c:
+                heapq.heappush(heap, (cap_left[li] / c, li))
     return rates, bottlenecks, iterations

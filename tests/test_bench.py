@@ -224,22 +224,34 @@ class TestCli:
         assert "error: engine_churn" in err
         assert "no flows to promote" in err
 
-    def test_run_and_self_compare_passes(self, tmp_path, capsys):
+    def test_run_and_self_compare_passes(self, tmp_path, monkeypatch):
+        # One real run writes the baseline.  The compare pass is then
+        # handed that same recorded result instead of a second timed
+        # run, so the gate's verdict depends on no wall clock.
         out_dir = str(tmp_path / "a")
         assert bench_main(["-s", "port_saturation", "--out", out_dir]) == 0
-        assert (
-            bench_main(
-                [
-                    "-s",
-                    "port_saturation",
-                    "--out",
-                    str(tmp_path / "b"),
-                    "--compare",
-                    out_dir,
-                ]
-            )
-            == 0
+        (recorded,) = load_results(out_dir).values()
+        monkeypatch.setattr(
+            "repro.bench.cli.run_scenario", lambda name, **kw: recorded
         )
+        report = tmp_path / "cmp.json"
+        code = bench_main(
+            [
+                "-s",
+                "port_saturation",
+                "--out",
+                str(tmp_path / "b"),
+                "--compare",
+                out_dir,
+                "--compare-json",
+                str(report),
+            ]
+        )
+        assert code == 0
+        (cmp,) = json.loads(report.read_text())["comparisons"]
+        assert cmp["ratio"] == 1.0
+        assert not cmp["regressed"]
+        assert not cmp["fingerprint_changed"]
 
     def test_compare_fails_on_regression(self, tmp_path):
         # fabricate an impossibly fast baseline: the real run must lose

@@ -3,7 +3,9 @@
 Four layers of guarantees, cheapest first:
 
 * the max-min solver is pure and matches hand-computed water-filling
-  allocations;
+  allocations; its heap form and the epoch's one-pass per-link sums
+  equal their straightforward scan forms (kept here as test-only
+  oracles) exactly, ``==`` on every float;
 * on *static* single-bottleneck configurations (equal flows, zero
   propagation delay where the ramp model vanishes) the fluid engine's
   FCTs equal the analytic shares **exactly** — integer nanoseconds, no
@@ -21,8 +23,10 @@ Four layers of guarantees, cheapest first:
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
@@ -34,6 +38,7 @@ from repro.harness.sweep import (
 )
 from repro.metrics.fct import FctCollector, percentile
 from repro.sim.engine import Simulator
+from repro.sim.fluid.build import build_fluid_network
 from repro.sim.fluid.model import FluidFlow, FluidLink
 from repro.sim.fluid.network import FluidNetwork
 from repro.sim.fluid.solver import max_min_shares
@@ -83,6 +88,191 @@ class TestMaxMinSolver:
         caps = [7.0, 3.0, 5.0]
         paths = [[0, 1], [1, 2], [0, 2], [2]]
         assert max_min_shares(caps, paths) == max_min_shares(caps, paths)
+
+
+def _scan_max_min_shares(capacities, paths):
+    """Reference water-filler: rescan every link each round.
+
+    The straightforward form ``max_min_shares`` must reproduce exactly
+    (smallest share wins, lowest link index on ties).
+    """
+    n_links = len(capacities)
+    rates = [0.0] * len(paths)
+    if not paths:
+        return rates, set(), 0
+    cap_left = [float(c) for c in capacities]
+    counts = [0] * n_links
+    link_flows = [[] for _ in range(n_links)]
+    for f, path in enumerate(paths):
+        for li in path:
+            counts[li] += 1
+            link_flows[li].append(f)
+    frozen = [False] * len(paths)
+    bottlenecks = set()
+    unfrozen = len(paths)
+    iterations = 0
+    while unfrozen:
+        iterations += 1
+        best = -1
+        fair = 0.0
+        for li in range(n_links):
+            c = counts[li]
+            if not c:
+                continue
+            share = cap_left[li] / c
+            if best < 0 or share < fair:
+                best = li
+                fair = share
+        if fair < 0.0:
+            fair = 0.0
+        bottlenecks.add(best)
+        for f in link_flows[best]:
+            if frozen[f]:
+                continue
+            frozen[f] = True
+            unfrozen -= 1
+            rates[f] = fair
+            for li in paths[f]:
+                cap_left[li] -= fair
+                counts[li] -= 1
+    return rates, bottlenecks, iterations
+
+
+#: few distinct capacities, so equal shares (ties) are common
+_TIE_CAPS = st.sampled_from([1e9, 2e9, 3e9, 4e9, 10e9, 12e9])
+
+
+@st.composite
+def _instances(draw, unique_paths=False):
+    n_links = draw(st.integers(1, 8))
+    caps = draw(st.lists(_TIE_CAPS, min_size=n_links, max_size=n_links))
+    path = st.lists(
+        st.integers(0, n_links - 1),
+        min_size=1,
+        max_size=min(4, n_links) if unique_paths else 4,
+        unique=unique_paths,
+    )
+    paths = draw(st.lists(path, min_size=0, max_size=40))
+    return caps, paths
+
+
+class TestHeapSolverMatchesScanOracle:
+    """The heap water-filler is the scan water-filler, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_instances())
+    def test_rates_bottlenecks_and_iterations_are_equal(self, instance):
+        caps, paths = instance
+        assert max_min_shares(caps, paths) == _scan_max_min_shares(
+            caps, paths
+        )
+
+    def test_tie_breaks_on_the_lowest_link_index(self):
+        # both links offer 1.0 per flow.  Freezing link 0 first settles
+        # every flow in one round; freezing link 1 first would take two
+        # rounds and report both links as bottlenecks.
+        assert max_min_shares([2.0, 1.0], [[0, 1], [0]]) == (
+            [1.0, 1.0], {0}, 1
+        )
+        assert max_min_shares([1.0, 2.0], [[0, 1], [1]]) == (
+            [1.0, 1.0], {0, 1}, 2
+        )
+
+
+class TestEpochResolveMatchesNestedLoopOracle:
+    """Per-link state after each epoch equals the nested-loop formula:
+    for every link, scan every active flow and sum those whose path
+    contains it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _instances(unique_paths=True),
+        st.lists(st.integers(0, 10**9), min_size=8, max_size=8),
+    )
+    def test_link_state_after_each_start(self, instance, pkt_rates):
+        caps, paths = instance
+        links = [
+            FluidLink(None, cap, 1_000, q_delay_cap_ns=5_000)
+            for cap in caps
+        ]
+        for link, pkt in zip(links, pkt_rates):
+            link.pkt_rate_bps = float(pkt)
+        flows = [
+            FluidFlow(Flow(i, 0, 1, 10_000_000), tuple(p), 2_000)
+            for i, p in enumerate(paths)
+        ]
+        net = FluidNetwork(Simulator(), flows, links, FctCollector())
+        saturated = [False] * len(links)
+        crossings = 0
+        for i in range(len(flows)):
+            net.on_flow_start(i)
+            active = [flows[j] for j in net._active]
+            solver_caps = [
+                max(link.capacity_bps - link.pkt_rate_bps,
+                    0.01 * link.capacity_bps)
+                for link in links
+            ]
+            rates, bottlenecks, _ = _scan_max_min_shares(
+                solver_caps, [fl.path for fl in active]
+            )
+            assert [fl.rate_bps for fl in active] == rates
+            for li, link in enumerate(links):
+                total = 0.0
+                alpha_sum = 0.0
+                n_crossing = 0
+                for k, fl in enumerate(active):
+                    if li in fl.path:
+                        total += rates[k]
+                        alpha_sum += fl.alpha
+                        n_crossing += 1
+                sat = li in bottlenecks
+                if sat != saturated[li]:
+                    crossings += 1
+                    saturated[li] = sat
+                assert link.fluid_rate_bps == total
+                assert link.saturated == sat
+                if sat and n_crossing:
+                    assert link.q_delay_ns == link.q_delay_cap_ns
+                    assert link.mark_frac == alpha_sum / n_crossing
+                else:
+                    assert link.q_delay_ns == 0
+                    assert link.mark_frac == 0.0
+            assert net.threshold_crossings == crossings
+
+
+class TestBuildRejectsRepeatedLinks:
+    """Per-link sums count every occurrence of a link in a path, so a
+    path that crosses one port twice would be double counted."""
+
+    def test_path_crossing_a_port_twice_is_rejected(self):
+        port = SimpleNamespace(name="spine0.p3", rate_bps=10**9)
+        other = SimpleNamespace(name="leaf0.p0", rate_bps=10**9)
+        topo = SimpleNamespace(
+            fluid_path=lambda flow: [(port, 1_000), (other, 1_000),
+                                     (port, 1_000)]
+        )
+        with pytest.raises(ValueError, match="spine0.p3"):
+            build_fluid_network(
+                Simulator(),
+                ExperimentConfig(),
+                topo,
+                [Flow(0, 0, 1, 2_000_000)],
+                FctCollector(),
+            )
+
+    def test_ports_shared_across_flows_are_fine(self):
+        port = SimpleNamespace(
+            name="p", rate_bps=10**9, stats=SimpleNamespace(tx_bytes=0)
+        )
+        topo = SimpleNamespace(fluid_path=lambda flow: [(port, 1_000)])
+        net = build_fluid_network(
+            Simulator(),
+            ExperimentConfig(),
+            topo,
+            [Flow(0, 0, 1, 2_000_000), Flow(1, 2, 1, 2_000_000)],
+            FctCollector(),
+        )
+        assert [fl.path for fl in net.flows] == [(0,), (0,)]
 
 
 def _static_run(sizes, capacity_bps, path_delay_ns=0):

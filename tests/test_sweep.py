@@ -306,6 +306,13 @@ class TestSweepCli:
         assert rc == 0
         assert "cache hits" in capsys.readouterr().out
 
+    def test_cli_sweep_defaults_to_the_heap_like_run(self):
+        from repro.__main__ import build_parser, build_sweep_parser
+
+        assert build_sweep_parser().parse_args([]).equeue == "heap"
+        assert build_parser().parse_args([]).equeue == "heap"
+        assert ExperimentConfig().equeue == "heap"
+
 
 class TestResolveProcesses:
     """The spawn-safe bootstrap decision: worker count + start method."""
